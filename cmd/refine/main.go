@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,7 @@ func main() {
 		out     = flag.String("out", "refined.txt", "refined orientation file")
 		initErr = flag.Float64("init-err", 2, "per-axis error (deg) of the initial orientations")
 		levels  = flag.Int("levels", 4, "schedule depth: 1=1°, 2=+0.1°, 3=+0.01°, 4=+0.002°")
-		workers = flag.Int("workers", 0, "refinement goroutines (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "refine-stage workers of the streaming pipeline (0 = GOMAXPROCS)")
 		pad     = flag.Int("pad", 2, "Fourier oversampling of the reference map")
 		seed    = flag.Int64("seed", 7, "seed for the initial-orientation perturbation")
 		nodes   = flag.Int("p", 0, "simulated cluster nodes (0 = shared-memory path; -trace defaults to 4)")
@@ -81,25 +82,24 @@ func main() {
 		cfg.CTFWeightCuts = true
 	}
 	inits := ds.PerturbedOrientations(*initErr, *seed)
+	images := ds.Images()
+	ctfs := make([]ctf.Params, len(ds.Views))
+	for i, v := range ds.Views {
+		ctfs[i] = v.CTF
+	}
 
 	var results []core.Result
 	if *nodes > 0 {
-		results = refineOnCluster(ds, cfg, inits, *nodes, *pad)
+		results = refineOnCluster(ds, cfg, images, ctfs, inits, *nodes, *pad)
 	} else {
 		dft := fourier.NewVolumeDFTPadded(ds.Truth, *pad)
 		r, err := core.NewRefiner(dft, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			pv, err := r.PrepareView(v.Image, v.CTF)
-			if err != nil {
-				log.Fatal(err)
-			}
-			views[i] = pv
-		}
-		results, err = r.RefineAll(views, inits, *workers)
+		src := core.SliceSource(images, ctfs, inits)
+		results, err = r.RefineStreamLevels(context.Background(), len(inits), src, core.InitialResults(inits), 0, *levels,
+			core.StreamOptions{RefineWorkers: *workers})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func main() {
 // two phases are laid end-to-end on the trace timeline, and the
 // parfft stage spans are reconciled against the cluster's own
 // per-node totals before the trace is written.
-func refineOnCluster(ds *micrograph.Dataset, cfg core.Config, inits []geom.Euler, p, pad int) []core.Result {
+func refineOnCluster(ds *micrograph.Dataset, cfg core.Config, images []*volume.Image, ctfs []ctf.Params, inits []geom.Euler, p, pad int) []core.Result {
 	cl := cluster.New(p, cluster.SP2)
 	opt := core.DefaultParallelOptions()
 	readSecs := 0.0
@@ -157,12 +157,6 @@ func refineOnCluster(ds *micrograph.Dataset, cfg core.Config, inits []geom.Euler
 	r, err := core.NewRefiner(ft.DFT, cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	images := make([]*volume.Image, len(ds.Views))
-	ctfs := make([]ctf.Params, len(ds.Views))
-	for i, v := range ds.Views {
-		images[i] = v.Image
-		ctfs[i] = v.CTF
 	}
 	results, times, err := r.RefineOnCluster(cl, images, ctfs, inits, opt)
 	if err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,14 +37,11 @@ func main() {
 		log.Fatal(err)
 	}
 	inits := ds.PerturbedOrientations(spec.InitError, 3)
-	views := make([]*core.View, len(ds.Views))
-	for i, v := range ds.Views {
-		views[i], err = refiner.PrepareView(v.Image, v.CTF)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	results, err := refiner.RefineAll(views, inits, 0)
+	// The default config applies no CTF correction, so the views'
+	// CTF state is not needed.
+	src := core.SliceSource(ds.Images(), nil, inits)
+	results, err := refiner.RefineStreamLevels(context.Background(), len(inits), src, core.InitialResults(inits),
+		0, len(core.DefaultSchedule()), core.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

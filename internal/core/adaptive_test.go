@@ -104,23 +104,17 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	}
 	inits := ds.PerturbedOrientations(2, 22)
 
-	var serial []Result
-	for i, v := range ds.Views {
-		pv, _ := r.PrepareView(v.Image, v.CTF)
-		serial = append(serial, r.RefineView(pv, inits[i]))
-	}
+	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
+	src := SliceSource(images, ctfs, inits)
+	serial := serialRefine(t, r, len(inits), src)
 	for _, workers := range []int{1, 2, 8} {
-		var views []*View
-		for _, v := range ds.Views {
-			pv, _ := r.PrepareView(v.Image, v.CTF)
-			views = append(views, pv)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, workers)
+		opt := StreamOptions{FFTWorkers: workers, RefineWorkers: workers}
+		res, err := r.RefineStreamLevels(context.Background(), len(inits), src, InitialResults(inits), 0, len(cfg.Schedule), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, res) {
-			t.Fatalf("workers=%d: batch results differ from serial RefineView", workers)
+			t.Fatalf("workers=%d: stream results differ from serial RefineView", workers)
 		}
 	}
 }

@@ -34,22 +34,14 @@ func clusterInputs(ds *micrograph.Dataset, perturb geom.Euler) ([]*volume.Image,
 	return images, ctfs, inits
 }
 
+// TestRefineBatchBitIdenticalUnderObs: a full-schedule streaming run
+// with counters, trace recording and the event log all on matches the
+// run with instrumentation off.
 func TestRefineBatchBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 4)
-	perturb := geom.Euler{Theta: 0.8, Phi: -0.5, Omega: 0.3}
-
+	n, src := datasetSource(ds, geom.Euler{Theta: 0.8, Phi: -0.5, Omega: 0.3})
 	run := func() []Result {
-		views := make([]*View, len(ds.Views))
-		inits := make([]geom.Euler, len(ds.Views))
-		for i, v := range ds.Views {
-			pv, err := r.PrepareView(v.Image, v.CTF)
-			if err != nil {
-				t.Fatal(err)
-			}
-			views[i] = pv
-			inits[i] = v.TrueOrient.Add(perturb)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, 3)
+		res, err := r.RefineStream(context.Background(), n, src, StreamOptions{RefineWorkers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +60,7 @@ func TestRefineBatchBitIdenticalUnderObs(t *testing.T) {
 	obs.StopEvents()
 
 	if !reflect.DeepEqual(plain, instrumented) {
-		t.Fatalf("RefineBatch results differ under instrumentation:\n  plain        %+v\n  instrumented %+v",
+		t.Fatalf("results differ under instrumentation:\n  plain        %+v\n  instrumented %+v",
 			plain, instrumented)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/fourier"
@@ -463,8 +464,8 @@ func oracleRefineCenter(r *Refiner, vd *viewData, o geom.Euler, lv Level, n int)
 	return bestDx, bestDy, bestD
 }
 
-// TestRefineBatchDeterministic: RefineBatch must produce bit-identical
-// results for any worker count.
+// TestRefineBatchDeterministic: the streaming driver must produce
+// bit-identical results for any worker count.
 func TestRefineBatchDeterministic(t *testing.T) {
 	l := 20
 	truth := phantom.Asymmetric(l, 6, 1)
@@ -478,14 +479,12 @@ func TestRefineBatchDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	inits := ds.PerturbedOrientations(2, 72)
+	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
+	src := SliceSource(images, ctfs, inits)
 	var ref []Result
 	for _, workers := range []int{1, 2, 8} {
-		var views []*View
-		for _, v := range ds.Views {
-			pv, _ := r.PrepareView(v.Image, v.CTF)
-			views = append(views, pv)
-		}
-		res, err := r.RefineBatch(context.Background(), views, inits, workers)
+		opt := StreamOptions{FFTWorkers: workers, RefineWorkers: workers}
+		res, err := r.RefineStreamLevels(context.Background(), len(inits), src, InitialResults(inits), 0, 1, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,10 +492,8 @@ func TestRefineBatchDeterministic(t *testing.T) {
 			ref = res
 			continue
 		}
-		for i := range res {
-			if res[i].Orient != ref[i].Orient || res[i].Center != ref[i].Center || res[i].Distance != ref[i].Distance {
-				t.Fatalf("workers=%d: view %d result differs from workers=1", workers, i)
-			}
+		if !reflect.DeepEqual(res, ref) {
+			t.Fatalf("workers=%d: results differ from workers=1", workers)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -148,8 +147,7 @@ func (r *Refiner) RefineView(v *View, init geom.Euler) Result {
 	return res
 }
 
-// refineViewWith is RefineView bound to caller-owned scratch (one per
-// worker in the batch paths).
+// refineViewWith is RefineView bound to caller-owned scratch.
 func (r *Refiner) refineViewWith(v *View, init geom.Euler, sc *matchScratch) Result {
 	return r.refineViewRange(v, Result{Orient: init}, 0, len(r.cfg.Schedule), sc)
 }
@@ -525,43 +523,4 @@ func (r *Refiner) refineCenter(vd *viewData, o geom.Euler, lv Level, n int, st *
 		}
 	}
 	return bestDx, bestDy, bestD
-}
-
-// RefineBatch refines many views on a bounded worker pool (the
-// shared-memory analogue of the paper's view partitioning): workers
-// pull view indices from a shared counter, each worker owns one kernel
-// scratch for its whole run, and results land in input order
-// regardless of scheduling. inits must parallel views. workers ≤ 0
-// selects GOMAXPROCS.
-//
-// Cancelling ctx aborts the batch between views: indices not yet
-// started are skipped, in-flight views run to completion, and the
-// context's error is returned (the partial results are discarded). ctx
-// must be non-nil; use RefineAll when cancellation is not needed.
-func (r *Refiner) RefineBatch(ctx context.Context, views []*View, inits []geom.Euler, workers int) ([]Result, error) {
-	if len(views) != len(inits) {
-		return nil, fmt.Errorf("core: %d views but %d initial orientations", len(views), len(inits))
-	}
-	workers = poolWorkers(len(views), workers)
-	scratches := make([]*matchScratch, workers)
-	for w := range scratches {
-		scratches[w] = r.m.newScratch()
-	}
-	results := make([]Result, len(views))
-	runIndexedLabeled("core.refine.batch", len(views), workers, func(w, i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		results[i] = r.refineViewWith(views[i], inits[i], scratches[w])
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RefineAll is RefineBatch under its historical name, without
-// cancellation.
-func (r *Refiner) RefineAll(views []*View, inits []geom.Euler, workers int) ([]Result, error) {
-	return r.RefineBatch(context.Background(), views, inits, workers)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -186,38 +188,37 @@ func TestRefineWithNoise(t *testing.T) {
 	}
 }
 
+// TestRefineAllMatchesSerial: refining all views through the
+// streaming driver on four refine workers, from InitialResults over
+// the full schedule, matches a serial RefineView loop bit for bit.
 func TestRefineAllMatchesSerial(t *testing.T) {
 	l := 24
 	dft, ds := testSetup(t, l, 6, micrograph.GenParams{Seed: 14})
-	r, _ := NewRefiner(dft, quickConfig(l))
+	cfg := quickConfig(l)
+	r, _ := NewRefiner(dft, cfg)
 	inits := ds.PerturbedOrientations(2, 15)
-	var fs []*View
-	for _, v := range ds.Views {
-		f, _ := r.PrepareView(v.Image, v.CTF)
-		fs = append(fs, f)
-	}
-	par, err := r.RefineAll(fs, inits, 4)
+	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
+	src := SliceSource(images, ctfs, inits)
+	par, err := r.RefineStreamLevels(context.Background(), len(inits), src, InitialResults(inits), 0, len(cfg.Schedule), StreamOptions{RefineWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range ds.Views {
-		// Views are stateful (centre shifts bake in), so the serial
-		// comparison needs freshly prepared copies.
-		f, _ := r.PrepareView(v.Image, v.CTF)
-		ser := r.RefineView(f, inits[i])
-		if par[i].Orient != ser.Orient || par[i].Center != ser.Center {
-			t.Fatalf("view %d: parallel %v/%v vs serial %v/%v",
-				i, par[i].Orient, par[i].Center, ser.Orient, ser.Center)
-		}
+	if ser := serialRefine(t, r, len(inits), src); !reflect.DeepEqual(par, ser) {
+		t.Fatalf("parallel %+v\nvs serial %+v", par, ser)
 	}
 }
 
+// TestRefineAllLengthMismatch: a view count that disagrees with the
+// priors, in either direction, is rejected before any view is pulled.
 func TestRefineAllLengthMismatch(t *testing.T) {
 	l := 16
 	dft, _ := testSetup(t, l, 1, micrograph.GenParams{Seed: 16})
 	r, _ := NewRefiner(dft, quickConfig(l))
-	if _, err := r.RefineAll(make([]*View, 2), make([]geom.Euler, 3), 1); err == nil {
-		t.Fatal("length mismatch accepted")
+	src := func(int) (StreamItem, error) { panic("source must not be called") }
+	for _, c := range []struct{ n, priors int }{{2, 3}, {3, 2}, {-1, 0}} {
+		if _, err := r.RefineStreamLevels(context.Background(), c.n, src, make([]Result, c.priors), 0, 1, StreamOptions{}); err == nil {
+			t.Fatalf("%d views with %d priors accepted", c.n, c.priors)
+		}
 	}
 }
 

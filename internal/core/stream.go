@@ -25,12 +25,11 @@ func labeledStage(stage string, body func()) {
 	body()
 }
 
-// Streaming refinement. RefineBatch wants every view prepared up
-// front, which materializes all m view spectra at once; on
-// production-scale datasets (the paper's 4,422 views of 511² pixels)
-// that is gigabytes of complex coefficients that exist only to be
-// reduced to a band. RefineStream instead runs a bounded three-stage
-// pipeline
+// Streaming refinement. Preparing every view up front would
+// materialize all m view spectra at once; on production-scale datasets
+// (the paper's 4,422 views of 511² pixels) that is gigabytes of complex
+// coefficients that exist only to be reduced to a band.
+// RefineStreamLevels instead runs a bounded three-stage pipeline
 //
 //	load → 2-D FFT + CTF + band extraction → refine
 //
@@ -50,6 +49,8 @@ type StreamItem struct {
 	// is configured for CTF correction or cut weighting.
 	CTF ctf.Params
 	// Init is the rough initial orientation O_q^init.
+	// RefineStreamLevels ignores it and continues from its priors;
+	// InitialResults builds fresh priors from the inits.
 	Init geom.Euler
 }
 
@@ -106,51 +107,45 @@ func StreamShape(opt StreamOptions) (fftWorkers, refineWorkers, depth int) {
 	return fftWorkers, refineWorkers, depth
 }
 
-// RefineStream refines n views pulled on demand from src through the
-// bounded pipeline, returning results in input order. Results are
-// bit-identical to RefineBatch over the same views: per-view
-// refinement is deterministic and workers write only their own result
-// slot, so pipeline scheduling cannot leak into the output. The first
-// error (from src or from view preparation) cancels the pipeline and
-// is returned.
-//
-// Cancelling ctx aborts the pipeline between views — the loader stops
-// pulling, in-flight views finish their current stage, every stage
-// goroutine exits before RefineStream returns, and the context's error
-// is returned. ctx must be non-nil.
-func (r *Refiner) RefineStream(ctx context.Context, n int, src StreamSource, opt StreamOptions) ([]Result, error) {
-	return r.refineStreamRange(ctx, n, src, nil, 0, len(r.cfg.Schedule), opt)
+// InitialResults are the priors of a fresh refinement: each view at
+// its rough initial orientation O_q^init, with zero centre correction
+// and no recorded levels. Pass them to RefineStreamLevels to start at
+// level 0.
+func InitialResults(inits []geom.Euler) []Result {
+	results := make([]Result, len(inits))
+	for i, o := range inits {
+		results[i] = Result{Orient: o}
+	}
+	return results
 }
 
 // RefineStreamLevels runs schedule levels [start, stop) of the
 // refinement through the streaming pipeline, continuing each view from
-// priors[i] — the serving layer's checkpoint-resume entry point. The
-// FFT stage prepares view i freshly from src and then replays every
-// centre-shift increment recorded in priors[i].PerLevel (in order),
-// which restores the band state of the original run bit-for-bit; the
-// refine stage then continues from priors[i].Orient. Running the
-// schedule one level at a time through this entry point — re-preparing
-// and replaying at each level — therefore produces results
-// bit-identical to one uninterrupted RefineStream over the full
-// schedule. StreamItem.Init is ignored; priors supply the
-// orientations. priors must have length n.
+// priors[i], and returns results in input order. A fresh run passes
+// InitialResults and the whole schedule; the serving layer runs one
+// level per call between checkpoints. The FFT stage prepares view i
+// freshly from src and then replays every centre-shift increment
+// recorded in priors[i].PerLevel (in order), which restores the band
+// state of the original run bit-for-bit; the refine stage then
+// continues from priors[i].Orient. Running the schedule one level at a
+// time — re-preparing and replaying at each level — therefore produces
+// results bit-identical to one call over the full schedule, and
+// pipeline shape never leaks into the output: per-view refinement is
+// deterministic and workers write only their own result slot.
+// StreamItem.Init is ignored; priors supply the orientations. priors
+// must have length n.
+//
+// The first error (from src or from view preparation) cancels the
+// pipeline and is returned. Cancelling ctx aborts the pipeline between
+// views — the loader stops pulling, in-flight views finish their
+// current stage, every stage goroutine exits before the call returns,
+// and the context's error is returned. ctx must be non-nil.
 func (r *Refiner) RefineStreamLevels(ctx context.Context, n int, src StreamSource, priors []Result, start, stop int, opt StreamOptions) ([]Result, error) {
 	if len(priors) != n {
 		return nil, fmt.Errorf("core: %d views but %d prior results", n, len(priors))
 	}
 	if start < 0 || stop < start || stop > len(r.cfg.Schedule) {
 		return nil, fmt.Errorf("core: level range [%d, %d) outside schedule of %d levels", start, stop, len(r.cfg.Schedule))
-	}
-	return r.refineStreamRange(ctx, n, src, priors, start, stop, opt)
-}
-
-// refineStreamRange is the shared pipeline behind RefineStream and
-// RefineStreamLevels. priors == nil means "fresh run": each view
-// starts from its StreamItem.Init and runs the whole [start, stop)
-// range with no shift replay.
-func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource, priors []Result, start, stop int, opt StreamOptions) ([]Result, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("core: negative view count %d", n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -170,9 +165,8 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 		item StreamItem
 	}
 	type preparedView struct {
-		i    int
-		v    *View
-		init geom.Euler
+		i int
+		v *View
 	}
 	loaded := make(chan loadedView, depth)
 	prepared := make(chan preparedView, depth)
@@ -223,7 +217,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 	})
 
 	// Stage 2: 2-D FFT + CTF + band extraction on reusable scratch,
-	// plus checkpoint shift replay when resuming from priors.
+	// plus replay of the priors' recorded shift increments.
 	var fftWG sync.WaitGroup
 	for w := 0; w < fftWorkers; w++ {
 		fftWG.Add(1)
@@ -240,17 +234,13 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 					fail(fmt.Errorf("core: preparing view %d: %w", lv.i, err))
 					return
 				}
-				init := lv.item.Init
-				if priors != nil {
-					for _, st := range priors[lv.i].PerLevel {
-						for _, s := range st.Shifts {
-							r.m.applyShift(v.vd, s[0], s[1])
-						}
+				for _, st := range priors[lv.i].PerLevel {
+					for _, s := range st.Shifts {
+						r.m.applyShift(v.vd, s[0], s[1])
 					}
-					init = priors[lv.i].Orient
 				}
 				select {
-				case prepared <- preparedView{i: lv.i, v: v, init: init}:
+				case prepared <- preparedView{i: lv.i, v: v}:
 				case <-abort:
 					return
 				case <-ctx.Done():
@@ -278,12 +268,7 @@ func (r *Refiner) refineStreamRange(ctx context.Context, n int, src StreamSource
 				if cancelled() {
 					return
 				}
-				prior := Result{Orient: pv.init}
-				if priors != nil {
-					prior = priors[pv.i]
-					prior.Orient = pv.init
-				}
-				results[pv.i] = r.refineViewRange(pv.v, prior, start, stop, sc)
+				results[pv.i] = r.refineViewRange(pv.v, priors[pv.i], start, stop, sc)
 				streamViews.Inc()
 			}
 		})

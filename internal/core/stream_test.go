@@ -44,29 +44,50 @@ func datasetSource(ds *micrograph.Dataset, perturb geom.Euler) (int, StreamSourc
 	return len(views), SliceSource(views, ctfs, inits)
 }
 
-// TestRefineStreamMatchesBatch: the streaming pipeline must produce
-// bit-identical results to the prepare-everything-then-refine batch
-// path, for several pipeline shapes.
-func TestRefineStreamMatchesBatch(t *testing.T) {
-	r, ds := streamFixture(t, 6)
-	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
-	n, src := datasetSource(ds, perturb)
-
-	views := make([]*View, n)
+// RefineStream is the uninterrupted fresh run the resume and
+// equivalence tests compare against: every view from its
+// StreamItem.Init through the whole schedule in one RefineStreamLevels
+// call.
+func (r *Refiner) RefineStream(ctx context.Context, n int, src StreamSource, opt StreamOptions) ([]Result, error) {
 	inits := make([]geom.Euler, n)
-	for i := 0; i < n; i++ {
-		it, _ := src(i)
+	for i := range inits {
+		it, err := src(i)
+		if err != nil {
+			return nil, err
+		}
+		inits[i] = it.Init
+	}
+	return r.RefineStreamLevels(ctx, n, src, InitialResults(inits), 0, len(r.cfg.Schedule), opt)
+}
+
+// serialRefine is the reference the streaming driver is checked
+// against: each view prepared with PrepareView and refined with
+// RefineView, one after another.
+func serialRefine(t testing.TB, r *Refiner, n int, src StreamSource) []Result {
+	t.Helper()
+	want := make([]Result, n)
+	for i := range want {
+		it, err := src(i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		v, err := r.PrepareView(it.Image, it.CTF)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views[i] = v
-		inits[i] = it.Init
+		want[i] = r.RefineView(v, it.Init)
 	}
-	want, err := r.RefineBatch(context.Background(), views, inits, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return want
+}
+
+// TestRefineStreamMatchesBatch: the streaming pipeline over the full
+// schedule must produce results bit-identical to a serial RefineView
+// loop over the same batch of views, for several pipeline shapes.
+func TestRefineStreamMatchesBatch(t *testing.T) {
+	r, ds := streamFixture(t, 6)
+	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
+	n, src := datasetSource(ds, perturb)
+	want := serialRefine(t, r, n, src)
 
 	for _, opt := range []StreamOptions{
 		{},
@@ -78,13 +99,8 @@ func TestRefineStreamMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
-		if len(got) != n {
-			t.Fatalf("opt %+v: %d results, want %d", opt, len(got), n)
-		}
-		for i := range got {
-			if got[i].Orient != want[i].Orient || got[i].Center != want[i].Center || got[i].Distance != want[i].Distance {
-				t.Fatalf("opt %+v view %d: stream %+v vs batch %+v", opt, i, got[i], want[i])
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("opt %+v: stream results differ from serial RefineView:\n  stream %+v\n  serial %+v", opt, got, want)
 		}
 	}
 }
@@ -96,19 +112,19 @@ func TestRefineStreamPropagatesErrors(t *testing.T) {
 	r, ds := streamFixture(t, 4)
 	boom := errors.New("disk on fire")
 	n, good := datasetSource(ds, geom.Euler{})
-	_, err := r.RefineStream(context.Background(), n, func(i int) (StreamItem, error) {
+	_, err := r.RefineStreamLevels(context.Background(), n, func(i int) (StreamItem, error) {
 		if i == 2 {
 			return StreamItem{}, boom
 		}
 		return good(i)
-	}, StreamOptions{})
+	}, make([]Result, n), 0, 1, StreamOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("source error not propagated: %v", err)
 	}
 
-	_, err = r.RefineStream(context.Background(), 1, func(int) (StreamItem, error) {
+	_, err = r.RefineStreamLevels(context.Background(), 1, func(int) (StreamItem, error) {
 		return StreamItem{Image: volume.NewImage(8)}, nil
-	}, StreamOptions{})
+	}, make([]Result, 1), 0, 1, StreamOptions{})
 	if err == nil {
 		t.Fatal("size mismatch not surfaced")
 	}
@@ -117,9 +133,9 @@ func TestRefineStreamPropagatesErrors(t *testing.T) {
 // TestRefineStreamEmpty: zero views is a no-op, not a deadlock.
 func TestRefineStreamEmpty(t *testing.T) {
 	r, _ := streamFixture(t, 1)
-	res, err := r.RefineStream(context.Background(), 0, func(int) (StreamItem, error) {
+	res, err := r.RefineStreamLevels(context.Background(), 0, func(int) (StreamItem, error) {
 		panic("source must not be called")
-	}, StreamOptions{})
+	}, nil, 0, 1, StreamOptions{})
 	if err != nil || res != nil {
 		t.Fatalf("empty stream: %v %v", res, err)
 	}
@@ -128,7 +144,7 @@ func TestRefineStreamEmpty(t *testing.T) {
 // TestRefineStreamCancelNoLeak: cancelling the context mid-stream
 // aborts between views, surfaces ctx.Err(), and leaks no stage
 // goroutine — every loader/FFT/refine worker must have exited by the
-// time RefineStream returns.
+// time RefineStreamLevels returns.
 func TestRefineStreamCancelNoLeak(t *testing.T) {
 	r, ds := streamFixture(t, 8)
 	n, src := datasetSource(ds, geom.Euler{Theta: 0.5})
@@ -141,14 +157,15 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 		}
 		return src(i)
 	}
-	res, err := r.RefineStream(ctx, n, cancelling, StreamOptions{Depth: 1, FFTWorkers: 2, RefineWorkers: 2})
+	priors := make([]Result, n)
+	res, err := r.RefineStreamLevels(ctx, n, cancelling, priors, 0, 1, StreamOptions{Depth: 1, FFTWorkers: 2, RefineWorkers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (res %v)", err, res)
 	}
 	if res != nil {
 		t.Fatalf("cancelled stream returned results: %v", res)
 	}
-	// RefineStream waits for its own goroutines before returning, so
+	// RefineStreamLevels waits for its own goroutines before returning, so
 	// any excess here would be a pipeline leak. Allow a short settle
 	// for unrelated runtime goroutines.
 	for i := 0; i < 100; i++ {
@@ -160,23 +177,16 @@ func TestRefineStreamCancelNoLeak(t *testing.T) {
 	t.Fatalf("goroutines leaked: before %d, after %d", before, runtime.NumGoroutine())
 }
 
-// TestRefineBatchCancel: a cancelled context makes RefineBatch return
-// its error instead of results.
+// TestRefineBatchCancel: a context cancelled before the call makes
+// the driver return its error without pulling a single view.
 func TestRefineBatchCancel(t *testing.T) {
-	r, ds := streamFixture(t, 3)
-	views := make([]*View, len(ds.Views))
-	inits := make([]geom.Euler, len(ds.Views))
-	for i, v := range ds.Views {
-		pv, err := r.PrepareView(v.Image, v.CTF)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = pv
-		inits[i] = v.TrueOrient
-	}
+	r, _ := streamFixture(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RefineBatch(ctx, views, inits, 2); !errors.Is(err, context.Canceled) {
+	_, err := r.RefineStreamLevels(ctx, 3, func(int) (StreamItem, error) {
+		panic("source must not be called")
+	}, make([]Result, 3), 0, 1, StreamOptions{RefineWorkers: 2})
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

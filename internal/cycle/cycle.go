@@ -16,9 +16,13 @@
 // uninterrupted run. The serving layer (internal/serve) owns the
 // journal and artifact store; this package owns only the state machine
 //
-//	refine level 0..Levels-1 → reconstruct full+halves → FSC → observe
+//	refine level 0..Levels-1 → reconstruct halves+full → FSC → observe
 //
-// repeated per cycle.
+// repeated per cycle. Each cycle reconstructs in one insert pass: every
+// view enters its odd or even half once, and the full map is finished
+// from the two halves' summed accumulators. RefineLevels, the level
+// loop inside each cycle, also runs the serving layer's single-pass
+// refine jobs.
 package cycle
 
 import (
@@ -45,10 +49,6 @@ type Config struct {
 	Levels int
 	// Pad is the reference-map Fourier padding factor (0 selects 2).
 	Pad int
-	// MaskFrac scales the spherical mask applied to each cycle's
-	// reference map before matching, as a fraction of L (0 selects
-	// 0.45, the fraction the workload experiments use).
-	MaskFrac float64
 	// MaxCycles is the hard cap on cycles (≥1).
 	MaxCycles int
 	// PlateauEps is the minimum 0.5-crossing improvement (Å) that
@@ -67,14 +67,14 @@ type Config struct {
 	CTF bool
 	// Stream shapes each refinement pass's pipeline.
 	Stream core.StreamOptions
-	// ReconWorkers/ReconShards shape the sharded reconstruction (0
-	// selects the reconstruct defaults; shards change rounding, see
-	// reconstruct.DefaultShards).
-	ReconWorkers, ReconShards int
-	// FSCWorkers bounds FSC concurrency (0 selects GOMAXPROCS; the
-	// curve is bit-identical regardless).
-	FSCWorkers int
 }
+
+// refMaskFrac scales the spherical mask applied to each cycle's
+// reference map before matching, as a fraction of L — the fraction the
+// workload experiments use. Reconstruction runs with the reconstruct
+// defaults (GOMAXPROCS workers, DefaultShards shards) and the FSC on
+// GOMAXPROCS workers; neither worker count changes a bit of the output.
+const refMaskFrac = 0.45
 
 // normalized validates cfg and fills defaults.
 func (cfg Config) normalized() (Config, error) {
@@ -92,12 +92,6 @@ func (cfg Config) normalized() (Config, error) {
 	}
 	if cfg.Pad < 1 || cfg.Pad > 4 {
 		return cfg, fmt.Errorf("cycle: pad %d outside 1..4", cfg.Pad)
-	}
-	if cfg.MaskFrac == 0 {
-		cfg.MaskFrac = 0.45
-	}
-	if cfg.MaskFrac < 0 || cfg.MaskFrac > 1 {
-		return cfg, fmt.Errorf("cycle: mask fraction %g outside [0, 1]", cfg.MaskFrac)
 	}
 	if cfg.MaxCycles < 1 {
 		return cfg, fmt.Errorf("cycle: max cycles %d below 1", cfg.MaxCycles)
@@ -271,10 +265,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 		if st.LevelsDone != 0 {
 			return nil, fmt.Errorf("cycle: %d levels done but no results", st.LevelsDone)
 		}
-		results = make([]core.Result, n)
-		for i := range results {
-			results[i] = core.Result{Orient: ds.Inits[i]}
-		}
+		results = core.InitialResults(ds.Inits)
 	} else if len(results) != n {
 		return nil, fmt.Errorf("cycle: %d views but %d resumed results", n, len(results))
 	}
@@ -309,7 +300,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				// reconstructed from the rough initial orientations —
 				// never from partially refined results, so a resume into
 				// cycle 0 (at any level) rebuilds the identical reference.
-				ref, err = fullMap(ds, initialResults(ds, n), cfg)
+				ref, err = initialMap(ds, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("cycle: initial reference: %w", err)
 				}
@@ -319,28 +310,15 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				return nil, err
 			}
 			src := core.SliceSource(ds.Views, ds.CTFs, ds.Inits)
-			for k := local; k < cfg.Levels; k++ {
-				if h.Drain != nil && h.Drain() {
-					out.Results = results
-					out.Parked = true
-					return out, nil
-				}
-				global := c*cfg.Levels + k
-				if h.OnLevelStart != nil {
-					if err := h.OnLevelStart(c, global); err != nil {
-						return nil, err
-					}
-				}
-				res, err := r.RefineStreamLevels(ctx, n, src, results, k, k+1, cfg.Stream)
-				if err != nil {
-					return nil, err
-				}
-				results = res
-				if h.OnLevel != nil {
-					if err := h.OnLevel(c, global, results); err != nil {
-						return nil, err
-					}
-				}
+			var parked bool
+			results, parked, err = RefineLevels(ctx, r, src, results, c, local, cfg.Levels, cfg.Stream, h)
+			if err != nil {
+				return nil, err
+			}
+			if parked {
+				out.Results = results
+				out.Parked = true
+				return out, nil
 			}
 		}
 		// When local == Levels the resume landed between this cycle's
@@ -356,9 +334,10 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 			return nil, err
 		}
 
-		// Steps B–C: reconstruct the full map and the odd/even halves
-		// from the refined orientations, then assess with the FSC.
-		full, err := fullMap(ds, results, cfg)
+		// Steps B–C: reconstruct the odd/even halves and the full map
+		// from the refined orientations in one pass, then assess with
+		// the FSC.
+		odd, even, full, err := reconstructCycle(ds, results, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("cycle: cycle %d reconstruction: %w", c, err)
 		}
@@ -367,11 +346,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 				return nil, err
 			}
 		}
-		odd, even, err := halfMaps(ds, results, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cycle: cycle %d half maps: %w", c, err)
-		}
-		curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, cfg.FSCWorkers)
+		curve, err := fsc.ComputeParallel(odd, even, cfg.PixelA, 0)
 		if err != nil {
 			return nil, fmt.Errorf("cycle: cycle %d fsc: %w", c, err)
 		}
@@ -408,14 +383,37 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 	return out, nil
 }
 
-// initialResults are the priors of a fresh cycle 0: the rough initial
-// orientations with zero centre corrections.
-func initialResults(ds Dataset, n int) []core.Result {
-	results := make([]core.Result, n)
-	for i := range results {
-		results[i] = core.Result{Orient: ds.Inits[i]}
+// RefineLevels runs levels [from, levels) of cycle c's refinement
+// pass, continuing from results — the module's one level loop. Each
+// level is one core.RefineStreamLevels call over every view: h.Drain is
+// polled before it, h.OnLevelStart fires before it and h.OnLevel after
+// it, both with the journal-facing global index c·levels + k. Run
+// drives it once per cycle; the serving layer drives it directly, with
+// c = 0, for single-pass refine jobs. It returns the results after the
+// last completed level and whether a drain parked the pass there.
+func RefineLevels(ctx context.Context, r *core.Refiner, src core.StreamSource, results []core.Result, c, from, levels int, opt core.StreamOptions, h Hooks) ([]core.Result, bool, error) {
+	for k := from; k < levels; k++ {
+		if h.Drain != nil && h.Drain() {
+			return results, true, nil
+		}
+		global := c*levels + k
+		if h.OnLevelStart != nil {
+			if err := h.OnLevelStart(c, global); err != nil {
+				return nil, false, err
+			}
+		}
+		res, err := r.RefineStreamLevels(ctx, len(results), src, results, k, k+1, opt)
+		if err != nil {
+			return nil, false, fmt.Errorf("level %d: %w", global, err)
+		}
+		results = res
+		if h.OnLevel != nil {
+			if err := h.OnLevel(c, global, results); err != nil {
+				return nil, false, err
+			}
+		}
 	}
-	return results
+	return results, false, nil
 }
 
 // newRefiner builds cycle c's refiner over a masked, padded transform
@@ -423,7 +421,7 @@ func initialResults(ds Dataset, n int) []core.Result {
 // not corrupt the map the journal's digest describes.
 func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 	masked := ref.Clone()
-	masked.SphericalMask(cfg.MaskFrac * float64(cfg.L))
+	masked.SphericalMask(refMaskFrac * float64(cfg.L))
 	dft := fourier.NewVolumeDFTPadded(masked, cfg.Pad)
 	ccfg := core.DefaultConfig(cfg.L)
 	ccfg.Schedule = core.DefaultSchedule()[:cfg.Levels]
@@ -443,28 +441,26 @@ func newRefiner(ref *volume.Grid, cfg Config) (*core.Refiner, error) {
 
 // reconOptions assembles the sharded-reconstruction options.
 func reconOptions(cfg Config) reconstruct.ParallelOptions {
-	return reconstruct.ParallelOptions{
-		Options: reconstruct.Options{WienerCTF: cfg.CTF},
-		Workers: cfg.ReconWorkers,
-		Shards:  cfg.ReconShards,
-	}
+	return reconstruct.ParallelOptions{Options: reconstruct.Options{WienerCTF: cfg.CTF}}
 }
 
-// fullMap reconstructs the full map from every view at the given
-// results' orientations and accumulated centre corrections.
-func fullMap(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, error) {
-	orients, centers := solutions(results)
-	// reconstruct.Sharded.Finish stamps an optional wall-clock trace
-	// span when instrumentation is active; the map bytes are unaffected.
-	return reconstruct.FromViewsParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+// initialMap reconstructs cycle 0's reference from every view at its
+// rough initial orientation, with no centre correction. It needs no
+// halves, so it runs the plain full-map reconstruction.
+func initialMap(ds Dataset, cfg Config) (*volume.Grid, error) {
+	// reconstruct.Sharded stamps an optional wall-clock trace span when
+	// instrumentation is active; the map bytes are unaffected.
+	return reconstruct.FromViewsParallel(ds.Views, ds.Inits, nil, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
 }
 
-// halfMaps reconstructs the odd/even half maps (1-based view parity,
-// as in the paper's Fig. 4 procedure).
-func halfMaps(ds Dataset, results []core.Result, cfg Config) (*volume.Grid, *volume.Grid, error) {
+// reconstructCycle builds a cycle's odd/even half maps (1-based view
+// parity, as in the paper's Fig. 4 procedure) and its full map from one
+// insert pass over the views at the given results' orientations and
+// accumulated centre corrections.
+func reconstructCycle(ds Dataset, results []core.Result, cfg Config) (odd, even, full *volume.Grid, err error) {
 	orients, centers := solutions(results)
-	// Same trace-span waiver as fullMap.
-	return reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
+	// Same trace-span waiver as initialMap.
+	return reconstruct.HalvesAndFull(ds.Views, orients, centers, ds.CTFs, reconOptions(cfg)) //replint:allow simclock reconstruct's trace span reads wall time only for observability; map bytes are clock-independent
 }
 
 // solutions splits results into the orientation and centre slices the

@@ -3,6 +3,7 @@ package cycle
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -236,7 +237,6 @@ func TestRunConfigValidation(t *testing.T) {
 		func(c *Config) { c.Levels = 0 },
 		func(c *Config) { c.Levels = len(core.DefaultSchedule()) + 1 },
 		func(c *Config) { c.Pad = 9 },
-		func(c *Config) { c.MaskFrac = 2 },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.PlateauEps = -1 },
 	} {
@@ -276,5 +276,55 @@ func TestRunHookErrorAborts(t *testing.T) {
 	})
 	if err == nil || err.Error() != boom.Error() {
 		t.Fatalf("got %v, want %v", err, boom)
+	}
+}
+
+// TestCycleReconstructionOnePass: a cycle's one insert pass yields
+// half maps bit-identical to SplitHalvesParallel and a full map within
+// 1e-12 of FromViewsParallel over every view, and the full map is
+// bit-identical at 1 and 4 workers.
+func TestCycleReconstructionOnePass(t *testing.T) {
+	for _, ctfOn := range []bool{false, true} {
+		ds, cfg := tinyRun(t, ctfOn)
+		// Non-zero centre corrections exercise the phase ramps.
+		results := core.InitialResults(ds.Inits)
+		for i := range results {
+			results[i].Center = [2]float64{0.3 * float64(i%3), -0.2 * float64(i%2)}
+		}
+		odd, even, full, err := reconstructCycle(ds, results, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orients, centers := solutions(results)
+		opt := reconOptions(cfg)
+		wantOdd, wantEven, err := reconstruct.SplitHalvesParallel(ds.Views, orients, centers, ds.CTFs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reconstruct.MapDigest(odd) != reconstruct.MapDigest(wantOdd) || reconstruct.MapDigest(even) != reconstruct.MapDigest(wantEven) {
+			t.Fatalf("ctf=%v: one-pass halves differ from SplitHalvesParallel", ctfOn)
+		}
+		wantFull, err := reconstruct.FromViewsParallel(ds.Views, orients, centers, ds.CTFs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scale, diff float64
+		for i, v := range wantFull.Data {
+			scale = math.Max(scale, math.Abs(v))
+			diff = math.Max(diff, math.Abs(v-full.Data[i]))
+		}
+		if diff > 1e-12*scale {
+			t.Fatalf("ctf=%v: one-pass full map differs from FromViewsParallel by %g (scale %g)", ctfOn, diff, scale)
+		}
+		for _, workers := range []int{1, 4} {
+			opt.Workers = workers
+			_, _, got, err := reconstruct.HalvesAndFull(ds.Views, orients, centers, ds.CTFs, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reconstruct.MapDigest(got) != reconstruct.MapDigest(full) {
+				t.Fatalf("ctf=%v: full map at %d workers differs", ctfOn, workers)
+			}
+		}
 	}
 }

@@ -204,6 +204,13 @@ func (s *Sharded) InsertViews(tasks []ViewTask) error {
 // state is not mutated; the reconstructor may continue inserting views
 // afterwards, and repeated calls return identical maps.
 func (s *Sharded) Finish() *volume.Grid {
+	num, den := s.merge()
+	return finishVolume(s.l, s.opt, num, den)
+}
+
+// merge sums the shards' num/den volumes in fixed index order into
+// freshly allocated volumes.
+func (s *Sharded) merge() ([]complex128, []float64) {
 	l := s.l
 	num := make([]complex128, l*l*l)
 	den := make([]float64, l*l*l)
@@ -229,7 +236,7 @@ func (s *Sharded) Finish() *volume.Grid {
 	if tracing {
 		obs.Span(0, 0, "shard-merge", "reconstruct", wallSeconds(t0), wallSeconds(time.Now()))
 	}
-	return finishVolume(l, s.opt, num, den)
+	return num, den
 }
 
 // insert is the fused per-view path: one real-input 2-D DFT into
@@ -446,6 +453,44 @@ func FromViewsParallel(views []*volume.Image, orients []geom.Euler, centers [][2
 // its views in dataset order, so the outputs are bit-identical to
 // reconstructing the two subsets with FromViewsParallel.
 func SplitHalvesParallel(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (*volume.Grid, *volume.Grid, error) {
+	odd, even, err := insertHalves(views, orients, centers, ctfs, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return odd.Finish(), even.Finish(), nil
+}
+
+// HalvesAndFull builds the odd and even half-maps and the full map
+// from one insert pass: every view goes once into its half exactly as
+// in SplitHalvesParallel, so the halves are bit-identical to its
+// output. The full map adds the two halves' merged num/den sums in
+// fixed (odd, even) order and runs the shared finish, so it differs
+// from FromViewsParallel over all views only in summation grouping
+// (≤1e-12) and is bit-identical at every worker count.
+func HalvesAndFull(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (odd, even, full *volume.Grid, err error) {
+	so, se, err := insertHalves(views, orients, centers, ctfs, opt)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Past the merges the shard accumulators are garbage, so only the
+	// two halves' merged sums stay live through the three finishes.
+	l, fo := so.l, so.opt
+	numO, denO := so.merge()
+	numE, denE := se.merge()
+	odd = finishVolume(l, fo, numO, denO)
+	even = finishVolume(l, fo, numE, denE)
+	for i := range numO {
+		numO[i] += numE[i]
+		denO[i] += denE[i]
+	}
+	return odd, even, finishVolume(l, fo, numO, denO), nil
+}
+
+// insertHalves is the shared insert pass of SplitHalvesParallel and
+// HalvesAndFull: views 1, 3, 5… (1-based) stream into the odd
+// accumulator and views 2, 4, 6… into the even one, each half in
+// dataset order.
+func insertHalves(views []*volume.Image, orients []geom.Euler, centers [][2]float64, ctfs []ctf.Params, opt ParallelOptions) (*Sharded, *Sharded, error) {
 	if err := validateSet(views, orients, centers, ctfs, opt.Options); err != nil {
 		return nil, nil, err
 	}
@@ -472,5 +517,5 @@ func SplitHalvesParallel(views []*volume.Image, orients []geom.Euler, centers []
 	}
 	so.Close()
 	se.Close()
-	return odd.Finish(), even.Finish(), nil
+	return odd, even, nil
 }

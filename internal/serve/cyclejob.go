@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -17,8 +15,8 @@ import (
 
 // runCycleJob executes one cycle job through the internal/cycle driver,
 // wiring its hooks onto the manager's journal, event stream, gauges,
-// and artifact store. The journal discipline mirrors runJob's: every
-// acknowledged record is fsynced before the hook returns, and replay
+// and artifact store. Every acknowledged record is fsynced before the
+// hook returns, and replay
 // rebuilds exactly the cycle.State the driver resumes from —
 // including reloading the previous cycle's map artifact (digest-
 // verified) when the kill landed inside a cycle's refinement pass.
@@ -82,12 +80,7 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 		st.Ref = ref
 	}
 
-	// lastLevelStart carries the level's start tick from OnLevelStart
-	// to OnLevel; hooks run sequentially on this goroutine.
-	var lastLevelStart float64
-
 	h := cycle.Hooks{
-		Drain: m.drainRequested,
 		OnCycleStart: func(c int) error {
 			ts := m.clock()
 			gaugeCycleNow.Set(int64(c))
@@ -107,48 +100,6 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 			}
 			if c >= jb.cyclesStarted {
 				jb.cyclesStarted = c + 1
-			}
-			return nil
-		},
-		OnLevelStart: func(c, global int) error {
-			lastLevelStart = m.clock()
-			obs.Emit(evLevelStart, jb.id, global, lastLevelStart, [obs.EventFieldsMax]obs.EventField{
-				{Key: "views", Value: int64(n)},
-				{Key: "cycle", Value: int64(c)},
-			})
-			return nil
-		},
-		OnLevel: func(c, global int, results []core.Result) error {
-			t1 := m.clock()
-			obs.Span(0, worker, fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels), "serve.level", lastLevelStart, t1)
-			levelTicks.Observe(int64(t1 - lastLevelStart))
-			evals, slides, shifts := levelTotals(results, global)
-			obs.Emit(evLevelEnd, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
-				{Key: "evals", Value: evals},
-				{Key: "slides", Value: slides},
-				{Key: "shifts", Value: shifts},
-				{Key: "ticks", Value: int64(t1 - lastLevelStart)},
-			})
-			levelsDone.Inc()
-			m.mu.Lock()
-			jb.levelsDone = global + 1
-			jb.results = results
-			var jerr error
-			if m.opt.Journal != nil {
-				jerr = m.opt.Journal.Level(jb.id, global, results)
-				if jerr == nil {
-					gaugeJournalBytes.Set(m.opt.Journal.Size())
-					obs.Emit(evCheckpoint, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
-						{Key: "journal_bytes", Value: m.opt.Journal.Size()},
-					})
-				}
-			}
-			m.mu.Unlock()
-			if jerr != nil {
-				return jerr
-			}
-			if m.opt.OnLevel != nil {
-				m.opt.OnLevel(jb.id, global)
 			}
 			return nil
 		},
@@ -226,20 +177,17 @@ func (m *Manager) runCycleJob(worker int, jb *job) {
 			return nil
 		},
 	}
+	// Drain polling and the level span, events, checkpoint and OnLevel
+	// callback are the ones refine jobs run with.
+	lh := m.levelHooks(worker, jb, n)
+	h.Drain, h.OnLevelStart, h.OnLevel = lh.Drain, lh.OnLevelStart, lh.OnLevel
 
 	out, err := cycle.Run(jb.ctx, cds, cfg, st, h)
-	switch {
-	case err != nil:
-		if errors.Is(err, context.Canceled) {
-			m.finish(jb, StateCancelled, "cancelled while running", nil)
-		} else {
-			m.finish(jb, StateFailed, err.Error(), nil)
-		}
-	case out.Parked:
-		m.park(jb)
-	default:
-		m.finish(jb, StateDone, "", summarize(out.Results, ds.TrueOrientations()))
+	if err != nil {
+		m.conclude(jb, nil, nil, false, err)
+		return
 	}
+	m.conclude(jb, out.Results, ds.TrueOrientations(), out.Parked, nil)
 }
 
 // artifactDir resolves where cycle map artifacts land.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/obs"
@@ -23,7 +24,8 @@ import (
 //	                    see http_events.go
 //	GET    /jobs/{id}/events — one job's event stream
 //
-// Error mapping: invalid spec → 400, unknown job → 404, queue full →
+// Error mapping: invalid spec → 400, spec body over maxSpecBytes →
+// 413, unknown job → 404, queue full →
 // 429 with Retry-After (the client should back off and retry — the
 // job was not accepted), draining → 503, cancel of a finished job →
 // 409. Handlers never read the wall clock; anything time-shaped in a
@@ -91,13 +93,20 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
+// maxSpecBytes caps a POST /jobs body. A JobSpec is a few hundred
+// bytes of JSON; 64 KiB leaves ample room for formatting while
+// bounding what one request can make the daemon read.
+const maxSpecBytes = 64 << 10
+
 // handleSubmit decodes, validates and enqueues a job spec.
 func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(m, w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("serve: decoding job spec: %v", err)})
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(m, w, code, errorBody{Error: fmt.Sprintf("serve: decoding job spec: %v", err)})
 		return
 	}
 	st, err := m.Submit(spec)
@@ -111,6 +120,27 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeJSON(m, w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	default:
 		writeJSON(m, w, http.StatusAccepted, st)
+	}
+}
+
+// decodeSpec reads exactly one JobSpec object from body, rejecting
+// unknown fields and anything after the object but whitespace.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	// Decode stops after the first JSON value; the next token must be
+	// the end of the body.
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return spec, nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return spec, err
+	default:
+		return spec, errors.New("unexpected data after the job spec")
 	}
 }
 

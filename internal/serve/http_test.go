@@ -181,21 +181,29 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
 
-	if resp, _ := postJob(t, ts, `{not json`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: %d", resp.StatusCode)
-	}
-	if resp, _ := postJob(t, ts, `{"dataset":"nope"}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown dataset: %d", resp.StatusCode)
-	}
-	if resp, _ := postJob(t, ts, `{"dataset":"asymmetric","bogus":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: %d", resp.StatusCode)
+	const spec = `{"dataset":"asymmetric","scale":2.5,"views":4,"levels":1}`
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"bad JSON", `{not json`, http.StatusBadRequest},
+		{"unknown dataset", `{"dataset":"nope"}`, http.StatusBadRequest},
+		{"unknown field", `{"dataset":"asymmetric","bogus":1}`, http.StatusBadRequest},
+		{"trailing garbage", spec + `garbage`, http.StatusBadRequest},
+		{"second object", spec + ` {}`, http.StatusBadRequest},
+		{"oversized body", spec + strings.Repeat(" ", maxSpecBytes), http.StatusRequestEntityTooLarge},
+		{"trailing whitespace", spec + "\n\t ", http.StatusAccepted},
+	} {
+		if resp, _ := postJob(t, ts, c.body); resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
 	}
 	if resp := getJSON(t, ts, "/jobs/job-999999", nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET unknown job: %d", resp.StatusCode)
 	}
 
 	// Cancel flow: DELETE a pending job, then DELETE again → 409.
-	_, data := postJob(t, ts, `{"dataset":"asymmetric","scale":2.5,"views":4,"levels":1}`)
+	_, data := postJob(t, ts, spec)
 	var st JobStatus
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 	"repro/internal/ctf"
 	"repro/internal/cycle"
 	"repro/internal/fourier"
+	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/volume"
 	"repro/internal/workload"
 )
 
@@ -426,10 +426,13 @@ func (m *Manager) executor(worker int) {
 	}
 }
 
-// runJob executes one job level by level, checkpointing after each.
-// The dataset, refiner and initial orientations are rebuilt from the
-// spec's seeds on every (re)start; recorded shift increments replayed
-// by RefineStreamLevels restore mid-schedule state bit-identically.
+// runJob executes one refine job level by level through the shared
+// level loop, checkpointing after each level. The dataset, refiner and
+// initial orientations are rebuilt from the spec's seeds on every
+// (re)start; recorded shift increments replayed by RefineStreamLevels
+// restore mid-schedule state bit-identically. A refine job refines
+// against the unmasked ground-truth map and reconstructs nothing, so
+// its journal holds only submit, level and terminal records.
 func (m *Manager) runJob(worker int, jb *job) {
 	ds := jb.wspec.Build()
 	inits := ds.PerturbedOrientations(jb.spec.InitError, jb.spec.InitSeed)
@@ -446,78 +449,100 @@ func (m *Manager) runJob(worker int, jb *job) {
 		return
 	}
 	n := len(ds.Views)
-	images := make([]*volume.Image, n)
 	ctfs := make([]ctf.Params, n)
 	for i, v := range ds.Views {
-		images[i] = v.Image
 		ctfs[i] = v.CTF
 	}
-	src := core.SliceSource(images, ctfs, inits)
+	src := core.SliceSource(ds.Images(), ctfs, inits)
 
 	m.mu.Lock()
 	start := jb.levelsDone
 	priors := jb.results
 	m.mu.Unlock()
 	if priors == nil {
-		priors = make([]core.Result, n)
-		for i := range priors {
-			priors[i] = core.Result{Orient: inits[i]}
-		}
+		priors = core.InitialResults(inits)
 	}
+	res, parked, err := cycle.RefineLevels(jb.ctx, r, src, priors, 0, start, jb.spec.Levels, m.opt.Stream, m.levelHooks(worker, jb, n))
+	m.conclude(jb, res, ds.TrueOrientations(), parked, err)
+}
 
-	for k := start; k < jb.spec.Levels; k++ {
-		if m.drainRequested() {
-			m.park(jb)
-			return
-		}
-		t0 := m.clock()
-		obs.Emit(evLevelStart, jb.id, k, t0, [obs.EventFieldsMax]obs.EventField{
-			{Key: "views", Value: int64(n)},
-		})
-		res, err := r.RefineStreamLevels(jb.ctx, n, src, priors, k, k+1, m.opt.Stream)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				m.finish(jb, StateCancelled, "cancelled while running", nil)
-			} else {
-				m.finish(jb, StateFailed, fmt.Sprintf("level %d: %v", k, err), nil)
+// levelHooks are the serve-side level hooks both job types run through
+// cycle.RefineLevels: the drain poll, the level span, the level_start
+// and level_end events, the level checkpoint (journal record,
+// checkpoint event, in-memory results) and the OnLevel callback. Cycle
+// jobs tag level_start with the cycle and name the span by cycle and
+// level within it.
+func (m *Manager) levelHooks(worker int, jb *job, n int) cycle.Hooks {
+	isCycle := jb.spec.Type == TypeCycle
+	// levelStart carries the level's start tick from OnLevelStart to
+	// OnLevel; hooks run sequentially on the executor goroutine.
+	var levelStart float64
+	return cycle.Hooks{
+		Drain: m.drainRequested,
+		OnLevelStart: func(c, global int) error {
+			levelStart = m.clock()
+			fields := [obs.EventFieldsMax]obs.EventField{{Key: "views", Value: int64(n)}}
+			if isCycle {
+				fields[1] = obs.EventField{Key: "cycle", Value: int64(c)}
 			}
-			return
-		}
-		priors = res
-		t1 := m.clock()
-		obs.Span(0, worker, fmt.Sprintf("%s L%d", jb.id, k), "serve.level", t0, t1)
-		levelTicks.Observe(int64(t1 - t0))
-		evals, slides, shifts := levelTotals(priors, k)
-		obs.Emit(evLevelEnd, jb.id, k, t1, [obs.EventFieldsMax]obs.EventField{
-			{Key: "evals", Value: evals},
-			{Key: "slides", Value: slides},
-			{Key: "shifts", Value: shifts},
-			{Key: "ticks", Value: int64(t1 - t0)},
-		})
-		levelsDone.Inc()
-		m.mu.Lock()
-		jb.levelsDone = k + 1
-		jb.results = priors
-		var jerr error
-		if m.opt.Journal != nil {
-			jerr = m.opt.Journal.Level(jb.id, k, priors)
-			if jerr == nil {
-				gaugeJournalBytes.Set(m.opt.Journal.Size())
-				obs.Emit(evCheckpoint, jb.id, k, t1, [obs.EventFieldsMax]obs.EventField{
-					{Key: "journal_bytes", Value: m.opt.Journal.Size()},
-				})
+			obs.Emit(evLevelStart, jb.id, global, levelStart, fields)
+			return nil
+		},
+		OnLevel: func(c, global int, results []core.Result) error {
+			t1 := m.clock()
+			span := fmt.Sprintf("%s L%d", jb.id, global)
+			if isCycle {
+				span = fmt.Sprintf("%s C%d L%d", jb.id, c, global%jb.spec.Levels)
 			}
-		}
-		m.mu.Unlock()
-		if jerr != nil {
-			m.finish(jb, StateFailed, fmt.Sprintf("journaling level %d: %v", k, jerr), nil)
-			return
-		}
-		if m.opt.OnLevel != nil {
-			m.opt.OnLevel(jb.id, k)
-		}
+			obs.Span(0, worker, span, "serve.level", levelStart, t1)
+			levelTicks.Observe(int64(t1 - levelStart))
+			evals, slides, shifts := levelTotals(results, global)
+			obs.Emit(evLevelEnd, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
+				{Key: "evals", Value: evals},
+				{Key: "slides", Value: slides},
+				{Key: "shifts", Value: shifts},
+				{Key: "ticks", Value: int64(t1 - levelStart)},
+			})
+			levelsDone.Inc()
+			m.mu.Lock()
+			jb.levelsDone = global + 1
+			jb.results = results
+			var jerr error
+			if m.opt.Journal != nil {
+				jerr = m.opt.Journal.Level(jb.id, global, results)
+				if jerr == nil {
+					gaugeJournalBytes.Set(m.opt.Journal.Size())
+					obs.Emit(evCheckpoint, jb.id, global, t1, [obs.EventFieldsMax]obs.EventField{
+						{Key: "journal_bytes", Value: m.opt.Journal.Size()},
+					})
+				}
+			}
+			m.mu.Unlock()
+			if jerr != nil {
+				return fmt.Errorf("journaling level %d: %w", global, jerr)
+			}
+			if m.opt.OnLevel != nil {
+				m.opt.OnLevel(jb.id, global)
+			}
+			return nil
+		},
 	}
-	m.finish(jb, StateDone, "", summarize(priors, ds.TrueOrientations()))
+}
+
+// conclude settles a job whose run loop returned: parked at a drain
+// checkpoint, cancelled, failed, or done with a summary of results
+// against the ground-truth orientations.
+func (m *Manager) conclude(jb *job, results []core.Result, truth []geom.Euler, parked bool, err error) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		m.finish(jb, StateCancelled, "cancelled while running", nil)
+	case err != nil:
+		m.finish(jb, StateFailed, err.Error(), nil)
+	case parked:
+		m.park(jb)
+	default:
+		m.finish(jb, StateDone, "", summarize(results, truth))
+	}
 }
 
 // levelTotals aggregates one completed level's per-view work counters

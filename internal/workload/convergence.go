@@ -81,24 +81,7 @@ func RunConvergence(spec DatasetSpec, opt FSCOptions, maxCycles int) (*Convergen
 		if err != nil {
 			return nil, err
 		}
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			im := v.Image
-			if centers[i][0] != 0 || centers[i][1] != 0 {
-				f := fourier.ImageDFT(im)
-				fourier.ShiftPhase(f, centers[i][0], centers[i][1])
-				im = fourier.InverseImageDFT(f)
-			}
-			var p ctf.Params
-			if ctfs != nil {
-				p = ctfs[i]
-			}
-			views[i], err = r.PrepareView(im, p)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results, err := r.RefineAll(views, orients, opt.Workers)
+		results, err := refinePass(r, len(cfg.Schedule), ds, ctfs, orients, centers, opt.Workers)
 		if err != nil {
 			return nil, err
 		}

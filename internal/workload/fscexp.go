@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -179,27 +180,7 @@ func runMethod(ds *micrograph.Dataset, spec DatasetSpec, inits []geom.Euler, opt
 		if err != nil {
 			return nil, err
 		}
-		// Prepare views already corrected to the centres found so far:
-		// refinement then reports the *incremental* correction.
-		views := make([]*core.View, len(ds.Views))
-		for i, v := range ds.Views {
-			im := v.Image
-			if centers[i][0] != 0 || centers[i][1] != 0 {
-				f := fourier.ImageDFT(im)
-				fourier.ShiftPhase(f, centers[i][0], centers[i][1])
-				im = fourier.InverseImageDFT(f)
-			}
-			var p ctf.Params
-			if ctfs != nil {
-				p = ctfs[i]
-			}
-			pv, err := r.PrepareView(im, p)
-			if err != nil {
-				return nil, err
-			}
-			views[i] = pv
-		}
-		results, err := r.RefineAll(views, orients, opt.Workers)
+		results, err := refinePass(r, len(schedule), ds, ctfs, orients, centers, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -273,4 +254,24 @@ func aggregate(schedule []core.Level, results []core.Result) []LevelAgg {
 		}
 	}
 	return aggs
+}
+
+// refinePass refines every view from its current orientation through
+// levels [0, levels) of r's schedule on the streaming driver. Views
+// enter already corrected to the centres found so far, so the results
+// report the *incremental* centre correction.
+func refinePass(r *core.Refiner, levels int, ds *micrograph.Dataset, ctfs []ctf.Params, orients []geom.Euler, centers [][2]float64, workers int) ([]core.Result, error) {
+	images := make([]*volume.Image, len(ds.Views))
+	for i, v := range ds.Views {
+		im := v.Image
+		if centers[i][0] != 0 || centers[i][1] != 0 {
+			f := fourier.ImageDFT(im)
+			fourier.ShiftPhase(f, centers[i][0], centers[i][1])
+			im = fourier.InverseImageDFT(f)
+		}
+		images[i] = im
+	}
+	src := core.SliceSource(images, ctfs, orients)
+	return r.RefineStreamLevels(context.Background(), len(images), src, core.InitialResults(orients), 0, levels,
+		core.StreamOptions{RefineWorkers: workers})
 }
