@@ -60,7 +60,6 @@ type Report struct {
 	SearchMode           string  `json:"search_mode"`
 	ViewsPerSecStream    float64 `json:"views_per_sec_stream"`
 	DistanceEvalsPerView float64 `json:"distance_evals_per_view"`
-	CutCacheHitRate      float64 `json:"cut_cache_hit_rate"`
 
 	// Streaming-pass footprint.
 	AllocsPerView    float64 `json:"allocs_per_view"`
@@ -164,7 +163,7 @@ func main() {
 		ctfs[i] = v.CTF
 		inits[i] = v.TrueOrient.Add(perturb)
 	}
-	src := core.SliceSource(images, ctfs, inits)
+	src := core.SliceSource(images, ctfs)
 	priors := core.InitialResults(inits)
 	levels := len(cfg.Schedule)
 
@@ -197,9 +196,6 @@ func main() {
 	rep.StreamFFTWorkers = fftW
 	rep.StreamRefiners = refW
 	rep.StreamDepth = depth
-	if hits, misses := r.CutCacheStats(); hits+misses > 0 {
-		rep.CutCacheHitRate = float64(hits) / float64(hits+misses)
-	}
 
 	if err := stopObs(); err != nil {
 		fatal(err)

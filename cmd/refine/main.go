@@ -97,7 +97,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		src := core.SliceSource(images, ctfs, inits)
+		src := core.SliceSource(images, ctfs)
 		results, err = r.RefineStreamLevels(context.Background(), len(inits), src, core.InitialResults(inits), 0, *levels,
 			core.StreamOptions{RefineWorkers: *workers})
 		if err != nil {

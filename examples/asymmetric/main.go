@@ -39,7 +39,7 @@ func main() {
 	inits := ds.PerturbedOrientations(spec.InitError, 3)
 	// The default config applies no CTF correction, so the views'
 	// CTF state is not needed.
-	src := core.SliceSource(ds.Images(), nil, inits)
+	src := core.SliceSource(ds.Images(), nil)
 	results, err := refiner.RefineStreamLevels(context.Background(), len(inits), src, core.InitialResults(inits),
 		0, len(core.DefaultSchedule()), core.StreamOptions{})
 	if err != nil {

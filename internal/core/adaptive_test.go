@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -105,8 +106,8 @@ func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	inits := ds.PerturbedOrientations(2, 22)
 
 	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
-	src := SliceSource(images, ctfs, inits)
-	serial := serialRefine(t, r, len(inits), src)
+	src := SliceSource(images, ctfs)
+	serial := serialRefine(t, r, inits, src)
 	for _, workers := range []int{1, 2, 8} {
 		opt := StreamOptions{FFTWorkers: workers, RefineWorkers: workers}
 		res, err := r.RefineStreamLevels(context.Background(), len(inits), src, InitialResults(inits), 0, len(cfg.Schedule), opt)
@@ -160,23 +161,19 @@ func TestAdaptiveResumeFromJournaledCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
-	n, src := datasetSource(ds, perturb)
+	inits, src := datasetSource(ds, perturb)
+	n := len(inits)
 	ctx := context.Background()
 	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
 
-	want, err := r.RefineStream(ctx, n, src, opt)
+	want, err := r.RefineStream(ctx, inits, src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Checkpoint after level 0, round-trip through JSON (the journal's
 	// storage format), resume the rest of the schedule.
-	priors := make([]Result, n)
-	for i := 0; i < n; i++ {
-		it, _ := src(i)
-		priors[i] = Result{Orient: it.Init}
-	}
-	priors, err = r.RefineStreamLevels(ctx, n, src, priors, 0, 1, opt)
+	priors, err := r.RefineStreamLevels(ctx, n, src, InitialResults(inits), 0, 1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,5 +276,57 @@ func TestExhaustiveLevelsForcesScan(t *testing.T) {
 	// Level 1 descended: far fewer evals than its 729-cell window.
 	if res.PerLevel[1].Matchings >= 729 {
 		t.Errorf("level 1 ran %d matchings, expected an adaptive descent (<729)", res.PerLevel[1].Matchings)
+	}
+}
+
+// TestScoreLatticeKeysAllocFree: scoring a batch of lattice keys that
+// no view has visited before samples every cut into worker scratch, so
+// it allocates nothing once the scratch slices have grown. Each run
+// shifts the 3×3×3 batch by three cells, so no key repeats across runs.
+func TestScoreLatticeKeysAllocFree(t *testing.T) {
+	l := 20
+	dft, ds := testSetup(t, l, 1, micrograph.GenParams{Seed: 51})
+	r, err := NewRefiner(dft, quickConfig(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ds.Views[0]
+	pv, err := r.PrepareView(v.Image, v.CTF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const step = 1.0
+	n := len(r.m.band)
+	sc := r.m.newScratch()
+	var st LevelStats
+	base := keyOf(v.TrueOrient, step)
+	runs := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		runs++
+		clear(sc.cache)
+		sc.keys = appendLatticeNeighbors(sc.keys[:0], orientKey{base[0] + int64(3*runs), base[1], base[2]})
+		r.scoreLatticeKeys(pv.vd, step, n, &st, sc)
+	})
+	if allocs != 0 {
+		t.Errorf("scoring 27 never-seen lattice keys allocated %.1f times per batch, want 0", allocs)
+	}
+	if want := 27 * runs; st.Matchings != want {
+		t.Errorf("scored %d candidates over %d batches, want %d", st.Matchings, runs, want)
+	}
+}
+
+// TestLatticeKeyRoundTrip: the descent scores lattice keys as their
+// eulerOfKey orientations and memoizes each under keyOf of that
+// orientation, so keyOf must invert eulerOfKey exactly at every step
+// and index a schedule can reach (angles within ±720° per axis).
+func TestLatticeKeyRoundTrip(t *testing.T) {
+	for _, step := range []float64{2, 1, 0.5, 0.25, 0.1, 0.05, 0.01, 0.002, 0.001} {
+		lim := int64(math.Ceil(720 / step))
+		for i := -lim; i <= lim; i++ {
+			k := orientKey{i, -i, i / 2}
+			if got := keyOf(eulerOfKey(k, step), step); got != k {
+				t.Fatalf("step %g: key %v round-trips to %v", step, k, got)
+			}
+		}
 	}
 }

@@ -39,9 +39,9 @@ func clusterInputs(ds *micrograph.Dataset, perturb geom.Euler) ([]*volume.Image,
 // run with instrumentation off.
 func TestRefineBatchBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 4)
-	n, src := datasetSource(ds, geom.Euler{Theta: 0.8, Phi: -0.5, Omega: 0.3})
+	inits, src := datasetSource(ds, geom.Euler{Theta: 0.8, Phi: -0.5, Omega: 0.3})
 	run := func() []Result {
-		res, err := r.RefineStream(context.Background(), n, src, StreamOptions{RefineWorkers: 3})
+		res, err := r.RefineStream(context.Background(), inits, src, StreamOptions{RefineWorkers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,19 +68,19 @@ func TestRefineBatchBitIdenticalUnderObs(t *testing.T) {
 func TestRefineStreamBitIdenticalUnderObs(t *testing.T) {
 	r, ds := streamFixture(t, 5)
 	perturb := geom.Euler{Theta: -0.6, Phi: 0.4, Omega: 0.9}
-	n, src := datasetSource(ds, perturb)
+	inits, src := datasetSource(ds, perturb)
 	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
 
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)
-	plain, err := r.RefineStream(context.Background(), n, src, opt)
+	plain, err := r.RefineStream(context.Background(), inits, src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	obs.SetEnabled(true)
 	obs.StartEvents(1024)
-	instrumented, err := r.RefineStream(context.Background(), n, src, opt)
+	instrumented, err := r.RefineStream(context.Background(), inits, src, opt)
 	obs.StopEvents()
 	if err != nil {
 		t.Fatal(err)

@@ -480,7 +480,7 @@ func TestRefineBatchDeterministic(t *testing.T) {
 	}
 	inits := ds.PerturbedOrientations(2, 72)
 	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
-	src := SliceSource(images, ctfs, inits)
+	src := SliceSource(images, ctfs)
 	var ref []Result
 	for _, workers := range []int{1, 2, 8} {
 		opt := StreamOptions{FFTWorkers: workers, RefineWorkers: workers}

@@ -116,8 +116,8 @@ func keyOf(o geom.Euler, step float64) orientKey {
 
 // eulerOfKey materializes the orientation at lattice key k — the exact
 // inverse of keyOf for on-grid orientations. Every worker computes the
-// identical float64 angles for a given key, which is what makes
-// lattice keys safe as shared cut-cache keys.
+// identical float64 angles for a given key, so a lattice candidate
+// scores the same whichever view or worker reaches it.
 func eulerOfKey(k orientKey, step float64) geom.Euler {
 	return geom.Euler{Theta: float64(k[0]) * step, Phi: float64(k[1]) * step, Omega: float64(k[2]) * step}
 }
@@ -193,15 +193,6 @@ func (r *Refiner) ExhaustiveRefine(v *View, init geom.Euler) Result {
 	return res
 }
 
-// CutCacheStats reports the orientation-quantized cut cache's
-// cumulative hit/miss counts. Only the adaptive search routes through
-// the cache (the flat scan's windows sit on view-specific off-lattice
-// grids and sample cuts directly), so the rate measures adaptive
-// traffic alone.
-func (r *Refiner) CutCacheStats() (hits, misses int64) {
-	return r.m.cuts.Stats()
-}
-
 // ApplyShift bakes an additional centre shift into a prepared view's
 // band coefficients — the exported form of the step-l correction, used
 // to restore a checkpointed view: replaying a result's recorded
@@ -254,8 +245,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 				if math.Hypot(dx, dy) >= 0.25*lv.CenterDelta {
 					shifted = true
 					// The cached distances were measured against the
-					// old centre; the cut cache needs no such
-					// invalidation (cuts are view-independent).
+					// old centre.
 					clear(sc.cache)
 				}
 			}
@@ -265,7 +255,7 @@ func (r *Refiner) refineLevel(vd *viewData, res *Result, lv Level, sc *matchScra
 		var best geom.Euler
 		var bestD float64
 		if mode == SearchAdaptive {
-			//replint:allow hotpathalloc descendOrientations seeds sc.keys, worker-owned scratch reused via [:0] that holds its capacity across rounds; the search is alloc-free at steady state (benchmarked in cmd/benchkernel)
+			//replint:allow hotpathalloc descendOrientations grows sc.keys, sc.orients and sc.pending, worker-owned scratch reused via [:0] that holds its capacity across rounds; every cut is sampled into sc.cut, so scoring never-seen lattice keys allocates nothing at steady state (TestScoreLatticeKeysAllocFree)
 			best, bestD = r.descendOrientations(vd, res.Orient, lv, n, &st, sc, rng)
 		} else {
 			best, bestD = r.scanOrientations(vd, res.Orient, lv, n, &st, sc)
@@ -299,21 +289,8 @@ func (r *Refiner) scanOrientations(vd *viewData, start geom.Euler, lv Level, n i
 	for {
 		//replint:allow hotpathalloc AppendOrientations grows sc.orients, worker-owned scratch reused via [:0]; the window size is fixed per level so capacity reaches steady state after the first slide
 		sc.orients = w.AppendOrientations(sc.orients[:0])
-		sc.pending = sc.pending[:0]
-		for _, o := range sc.orients {
-			k := keyOf(o, lv.RAngular)
-			if _, ok := sc.cache[k]; !ok {
-				sc.cache[k] = math.NaN() // claimed; value lands below
-				//replint:allow hotpathalloc sc.pending is worker-owned scratch that reaches steady-state capacity after the first window of a run
-				sc.pending = append(sc.pending, o)
-			}
-		}
-		dists := sc.growDists(len(sc.pending))
-		r.m.distanceWindow(vd, sc.pending, n, sc, dists)
-		for i, o := range sc.pending {
-			sc.cache[keyOf(o, lv.RAngular)] = dists[i]
-		}
-		st.Matchings += len(sc.pending)
+		//replint:allow hotpathalloc scoreOrientations grows sc.pending, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first window of a run
+		r.scoreOrientations(vd, sc.orients, lv.RAngular, n, st, sc)
 		for _, o := range sc.orients {
 			if d := sc.cache[keyOf(o, lv.RAngular)]; d < bestD {
 				bestD = d
@@ -348,10 +325,10 @@ const maxDryRounds = 4
 // like the flat scan.
 //
 // Candidates are global lattice cells (orientation = key · step), so
-// the per-level distance memo and the shared cut cache key them
-// exactly. The off-lattice starting orientation is evaluated as the
-// baseline: the descent only replaces it with a strictly better
-// lattice point, so snapping to the grid can never regress a level.
+// the per-level distance memo keys them exactly. The off-lattice
+// starting orientation is evaluated as the baseline: the descent only
+// replaces it with a strictly better lattice point, so snapping to the
+// grid can never regress a level.
 func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, n int, st *LevelStats, sc *matchScratch, rng *searchRNG) (geom.Euler, float64) {
 	step := lv.RAngular
 	h := int64(math.Round(lv.WindowHalf / step))
@@ -380,7 +357,7 @@ func (r *Refiner) descendOrientations(vd *viewData, start geom.Euler, lv Level, 
 			}
 		}
 	}
-	//replint:allow hotpathalloc scoreLatticeKeys grows sc.pendKeys, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
+	//replint:allow hotpathalloc scoreLatticeKeys grows sc.orients and sc.pending, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
 	r.scoreLatticeKeys(vd, step, n, st, sc)
 	for _, k := range sc.keys {
 		if d := sc.cache[k]; d < bestD {
@@ -439,26 +416,37 @@ func appendLatticeNeighbors(dst []orientKey, c orientKey) []orientKey {
 }
 
 // scoreLatticeKeys scores every key in sc.keys not already in the
-// level cache through the batched lattice kernel, landing the
-// distances in sc.cache. Duplicate keys within the batch deduplicate
-// via the same NaN-claim the flat scan uses.
+// level cache, materializing each as its exact lattice orientation so
+// the descent and the flat scan share one sample-then-score loop.
 func (r *Refiner) scoreLatticeKeys(vd *viewData, step float64, n int, st *LevelStats, sc *matchScratch) {
-	sc.pendKeys = sc.pendKeys[:0]
+	sc.orients = sc.orients[:0]
 	for _, k := range sc.keys {
+		sc.orients = append(sc.orients, eulerOfKey(k, step))
+	}
+	//replint:allow hotpathalloc scoreOrientations grows sc.pending, worker-owned scratch reused via [:0] that reaches steady-state capacity after the first batch
+	r.scoreOrientations(vd, sc.orients, step, n, st, sc)
+}
+
+// scoreOrientations scores every orientation whose level-grid key
+// (step per axis) is not already in the level cache as one batched
+// kernel call — each cut sampled into sc.cut, then scored — and lands
+// the distances in sc.cache. Duplicates within the batch deduplicate
+// through the NaN claim.
+func (r *Refiner) scoreOrientations(vd *viewData, orients []geom.Euler, step float64, n int, st *LevelStats, sc *matchScratch) {
+	sc.pending = sc.pending[:0]
+	for _, o := range orients {
+		k := keyOf(o, step)
 		if _, ok := sc.cache[k]; !ok {
 			sc.cache[k] = math.NaN() // claimed; value lands below
-			sc.pendKeys = append(sc.pendKeys, k)
+			sc.pending = append(sc.pending, o)
 		}
 	}
-	if len(sc.pendKeys) == 0 {
-		return
+	dists := sc.growDists(len(sc.pending))
+	r.m.distanceWindow(vd, sc.pending, n, sc, dists)
+	for i, o := range sc.pending {
+		sc.cache[keyOf(o, step)] = dists[i]
 	}
-	dists := sc.growDists(len(sc.pendKeys))
-	r.m.distanceLattice(vd, sc.pendKeys, step, n, sc, dists)
-	for i, k := range sc.pendKeys {
-		sc.cache[k] = dists[i]
-	}
-	st.Matchings += len(sc.pendKeys)
+	st.Matchings += len(sc.pending)
 }
 
 // refineCenter performs the sliding-box centre search (step k) against

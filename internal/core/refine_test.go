@@ -198,12 +198,12 @@ func TestRefineAllMatchesSerial(t *testing.T) {
 	r, _ := NewRefiner(dft, cfg)
 	inits := ds.PerturbedOrientations(2, 15)
 	images, ctfs, _ := clusterInputs(ds, geom.Euler{})
-	src := SliceSource(images, ctfs, inits)
+	src := SliceSource(images, ctfs)
 	par, err := r.RefineStreamLevels(context.Background(), len(inits), src, InitialResults(inits), 0, len(cfg.Schedule), StreamOptions{RefineWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ser := serialRefine(t, r, len(inits), src); !reflect.DeepEqual(par, ser) {
+	if ser := serialRefine(t, r, inits, src); !reflect.DeepEqual(par, ser) {
 		t.Fatalf("parallel %+v\nvs serial %+v", par, ser)
 	}
 }

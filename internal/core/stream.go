@@ -48,10 +48,6 @@ type StreamItem struct {
 	// CTF carries the microscope parameters consulted when the refiner
 	// is configured for CTF correction or cut weighting.
 	CTF ctf.Params
-	// Init is the rough initial orientation O_q^init.
-	// RefineStreamLevels ignores it and continues from its priors;
-	// InitialResults builds fresh priors from the inits.
-	Init geom.Euler
 }
 
 // StreamSource produces view i on demand (step b's "read the next
@@ -60,12 +56,13 @@ type StreamItem struct {
 // without locking.
 type StreamSource func(i int) (StreamItem, error)
 
-// SliceSource adapts already-materialized slices to a StreamSource —
-// convenient for tests and benchmarks. ctfs may be nil or empty when
-// no CTF state applies.
-func SliceSource(views []*volume.Image, ctfs []ctf.Params, inits []geom.Euler) StreamSource {
+// SliceSource adapts already-materialized slices to a StreamSource.
+// ctfs may be nil or empty when no CTF state applies. Orientations are
+// not part of a view's stream item: RefineStreamLevels takes them from
+// its priors (InitialResults for a fresh run).
+func SliceSource(views []*volume.Image, ctfs []ctf.Params) StreamSource {
 	return func(i int) (StreamItem, error) {
-		it := StreamItem{Image: views[i], Init: inits[i]}
+		it := StreamItem{Image: views[i]}
 		if len(ctfs) > 0 {
 			it.CTF = ctfs[i]
 		}
@@ -131,8 +128,7 @@ func InitialResults(inits []geom.Euler) []Result {
 // time — re-preparing and replaying at each level — therefore produces
 // results bit-identical to one call over the full schedule, and
 // pipeline shape never leaks into the output: per-view refinement is
-// deterministic and workers write only their own result slot.
-// StreamItem.Init is ignored; priors supply the orientations. priors
+// deterministic and workers write only their own result slot. priors
 // must have length n.
 //
 // The first error (from src or from view preparation) cancels the

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ctf"
 	"repro/internal/fourier"
 	"repro/internal/geom"
 	"repro/internal/micrograph"
@@ -32,40 +31,26 @@ func streamFixture(t testing.TB, m int) (*Refiner, *micrograph.Dataset) {
 	return r, ds
 }
 
-func datasetSource(ds *micrograph.Dataset, perturb geom.Euler) (int, StreamSource) {
-	views := make([]*volume.Image, len(ds.Views))
-	ctfs := make([]ctf.Params, len(ds.Views))
-	inits := make([]geom.Euler, len(ds.Views))
-	for i, v := range ds.Views {
-		views[i] = v.Image
-		ctfs[i] = v.CTF
-		inits[i] = v.TrueOrient.Add(perturb)
-	}
-	return len(views), SliceSource(views, ctfs, inits)
+// datasetSource streams ds's views and returns the perturbed true
+// orientations the tests start them from.
+func datasetSource(ds *micrograph.Dataset, perturb geom.Euler) ([]geom.Euler, StreamSource) {
+	views, ctfs, inits := clusterInputs(ds, perturb)
+	return inits, SliceSource(views, ctfs)
 }
 
 // RefineStream is the uninterrupted fresh run the resume and
-// equivalence tests compare against: every view from its
-// StreamItem.Init through the whole schedule in one RefineStreamLevels
-// call.
-func (r *Refiner) RefineStream(ctx context.Context, n int, src StreamSource, opt StreamOptions) ([]Result, error) {
-	inits := make([]geom.Euler, n)
-	for i := range inits {
-		it, err := src(i)
-		if err != nil {
-			return nil, err
-		}
-		inits[i] = it.Init
-	}
-	return r.RefineStreamLevels(ctx, n, src, InitialResults(inits), 0, len(r.cfg.Schedule), opt)
+// equivalence tests compare against: every view from inits[i] through
+// the whole schedule in one RefineStreamLevels call.
+func (r *Refiner) RefineStream(ctx context.Context, inits []geom.Euler, src StreamSource, opt StreamOptions) ([]Result, error) {
+	return r.RefineStreamLevels(ctx, len(inits), src, InitialResults(inits), 0, len(r.cfg.Schedule), opt)
 }
 
 // serialRefine is the reference the streaming driver is checked
 // against: each view prepared with PrepareView and refined with
 // RefineView, one after another.
-func serialRefine(t testing.TB, r *Refiner, n int, src StreamSource) []Result {
+func serialRefine(t testing.TB, r *Refiner, inits []geom.Euler, src StreamSource) []Result {
 	t.Helper()
-	want := make([]Result, n)
+	want := make([]Result, len(inits))
 	for i := range want {
 		it, err := src(i)
 		if err != nil {
@@ -75,7 +60,7 @@ func serialRefine(t testing.TB, r *Refiner, n int, src StreamSource) []Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r.RefineView(v, it.Init)
+		want[i] = r.RefineView(v, inits[i])
 	}
 	return want
 }
@@ -86,8 +71,8 @@ func serialRefine(t testing.TB, r *Refiner, n int, src StreamSource) []Result {
 func TestRefineStreamMatchesBatch(t *testing.T) {
 	r, ds := streamFixture(t, 6)
 	perturb := geom.Euler{Theta: 1.2, Phi: -0.8, Omega: 0.5}
-	n, src := datasetSource(ds, perturb)
-	want := serialRefine(t, r, n, src)
+	inits, src := datasetSource(ds, perturb)
+	want := serialRefine(t, r, inits, src)
 
 	for _, opt := range []StreamOptions{
 		{},
@@ -95,7 +80,7 @@ func TestRefineStreamMatchesBatch(t *testing.T) {
 		{Depth: 2, FFTWorkers: 3, RefineWorkers: 2},
 		{FFTWorkers: 8, RefineWorkers: 8},
 	} {
-		got, err := r.RefineStream(context.Background(), n, src, opt)
+		got, err := r.RefineStream(context.Background(), inits, src, opt)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
@@ -111,7 +96,8 @@ func TestRefineStreamMatchesBatch(t *testing.T) {
 func TestRefineStreamPropagatesErrors(t *testing.T) {
 	r, ds := streamFixture(t, 4)
 	boom := errors.New("disk on fire")
-	n, good := datasetSource(ds, geom.Euler{})
+	inits, good := datasetSource(ds, geom.Euler{})
+	n := len(inits)
 	_, err := r.RefineStreamLevels(context.Background(), n, func(i int) (StreamItem, error) {
 		if i == 2 {
 			return StreamItem{}, boom
@@ -147,7 +133,8 @@ func TestRefineStreamEmpty(t *testing.T) {
 // time RefineStreamLevels returns.
 func TestRefineStreamCancelNoLeak(t *testing.T) {
 	r, ds := streamFixture(t, 8)
-	n, src := datasetSource(ds, geom.Euler{Theta: 0.5})
+	inits, src := datasetSource(ds, geom.Euler{Theta: 0.5})
+	n := len(inits)
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -214,21 +201,18 @@ func TestRefineStreamLevelsResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	perturb := geom.Euler{Theta: 1.1, Phi: -0.7, Omega: 0.4}
-	n, src := datasetSource(ds, perturb)
+	inits, src := datasetSource(ds, perturb)
+	n := len(inits)
 	ctx := context.Background()
 	opt := StreamOptions{Depth: 2, FFTWorkers: 2, RefineWorkers: 2}
 
-	want, err := r.RefineStream(ctx, n, src, opt)
+	want, err := r.RefineStream(ctx, inits, src, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Level at a time, as the job service runs it between checkpoints.
-	priors := make([]Result, n)
-	for i := 0; i < n; i++ {
-		it, _ := src(i)
-		priors[i] = Result{Orient: it.Init}
-	}
+	priors := InitialResults(inits)
 	for k := 0; k < len(cfg.Schedule); k++ {
 		priors, err = r.RefineStreamLevels(ctx, n, src, priors, k, k+1, opt)
 		if err != nil {
@@ -262,7 +246,8 @@ func TestRefineStreamLevelsResume(t *testing.T) {
 // are rejected up front.
 func TestRefineStreamLevelsValidation(t *testing.T) {
 	r, ds := streamFixture(t, 2)
-	n, src := datasetSource(ds, geom.Euler{})
+	inits, src := datasetSource(ds, geom.Euler{})
+	n := len(inits)
 	ctx := context.Background()
 	if _, err := r.RefineStreamLevels(ctx, n, src, make([]Result, n+1), 0, 1, StreamOptions{}); err == nil {
 		t.Fatal("priors length mismatch not rejected")

@@ -309,7 +309,7 @@ func Run(ctx context.Context, ds Dataset, cfg Config, st State, h Hooks) (*Outco
 			if err != nil {
 				return nil, err
 			}
-			src := core.SliceSource(ds.Views, ds.CTFs, ds.Inits)
+			src := core.SliceSource(ds.Views, ds.CTFs)
 			var parked bool
 			results, parked, err = RefineLevels(ctx, r, src, results, c, local, cfg.Levels, cfg.Stream, h)
 			if err != nil {

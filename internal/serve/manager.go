@@ -453,7 +453,7 @@ func (m *Manager) runJob(worker int, jb *job) {
 	for i, v := range ds.Views {
 		ctfs[i] = v.CTF
 	}
-	src := core.SliceSource(ds.Images(), ctfs, inits)
+	src := core.SliceSource(ds.Images(), ctfs)
 
 	m.mu.Lock()
 	start := jb.levelsDone

@@ -32,7 +32,11 @@ func (g *Grid) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadGrid deserializes a grid written by Grid.WriteTo.
+// ReadGrid deserializes a grid written by Grid.WriteTo. The payload
+// is decoded in bounded chunks, so a header claiming more voxels than
+// the input holds fails after at most one chunk of allocation instead
+// of reserving the claimed l³ up front; bytes after the payload are
+// rejected.
 func ReadGrid(r io.Reader) (*Grid, error) {
 	br := bufio.NewReader(r)
 	var hdr [2]uint32
@@ -46,11 +50,45 @@ func ReadGrid(r io.Reader) (*Grid, error) {
 	if l < 1 || l > 4096 {
 		return nil, fmt.Errorf("volume: implausible grid size %d", l)
 	}
-	g := NewGrid(l)
-	if err := binary.Read(br, binary.LittleEndian, g.Data); err != nil {
+	data, err := readFloats(br, l*l*l)
+	if err != nil {
 		return nil, fmt.Errorf("volume: reading grid data: %w", err)
 	}
-	return g, nil
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("volume: trailing bytes after %d³ grid data", l)
+		}
+		return nil, fmt.Errorf("volume: reading grid data: %w", err)
+	}
+	return &Grid{L: l, Data: data}, nil
+}
+
+// readFloats decodes n little-endian float64 samples from r in chunks,
+// growing the result only as the bytes arrive: a truncated payload
+// costs at most one chunk past the data actually present, and the
+// returned slice has capacity exactly n.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	const chunk = 1 << 13 // samples per read (64 KiB)
+	buf := make([]byte, 8*min(n, chunk))
+	var data []float64
+	for len(data) < n {
+		m := min(n-len(data), chunk)
+		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if len(data)+m > cap(data) {
+			grown := make([]float64, len(data), min(n, max(2*cap(data), len(data)+m)))
+			copy(grown, data)
+			data = grown
+		}
+		for i := 0; i < m; i++ {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
+		}
+	}
+	return data, nil
 }
 
 // WriteTo serializes im to w.
@@ -67,7 +105,8 @@ func (im *Image) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadImage deserializes an image written by Image.WriteTo.
+// ReadImage deserializes an image written by Image.WriteTo, decoding
+// the payload in bounded chunks like ReadGrid.
 func ReadImage(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
 	var hdr [2]uint32
@@ -81,11 +120,11 @@ func ReadImage(r io.Reader) (*Image, error) {
 	if l < 1 || l > 65536 {
 		return nil, fmt.Errorf("volume: implausible image size %d", l)
 	}
-	im := NewImage(l)
-	if err := binary.Read(br, binary.LittleEndian, im.Data); err != nil {
+	data, err := readFloats(br, l*l)
+	if err != nil {
 		return nil, fmt.Errorf("volume: reading image data: %w", err)
 	}
-	return im, nil
+	return &Image{L: l, Data: data}, nil
 }
 
 // WritePGM renders the image as a binary 8-bit PGM, linearly mapping

@@ -2,8 +2,10 @@ package volume
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +170,52 @@ func TestReadGridRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadGrid(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// TestReadRejectsOverstatedHeaderCheaply: a header that claims far
+// more samples than the input holds fails without reserving the
+// claimed payload — a corrupt map artifact must fail its job, not
+// exhaust the daemon's memory. L=256 claims 128 MiB of grid and
+// L=4096 claims 128 MiB of image.
+func TestReadRejectsOverstatedHeaderCheaply(t *testing.T) {
+	header := func(magic, l uint32) []byte {
+		b := make([]byte, 16) // header plus one sample
+		binary.LittleEndian.PutUint32(b, magic)
+		binary.LittleEndian.PutUint32(b[4:], l)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func([]byte) error
+	}{
+		{"grid", header(gridMagic, 256), func(b []byte) error { _, err := ReadGrid(bytes.NewReader(b)); return err }},
+		{"image", header(imageMagic, 4096), func(b []byte) error { _, err := ReadImage(bytes.NewReader(b)); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read(tc.in)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: truncated payload accepted", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: rejecting a 16-byte input allocated %d bytes", tc.name, d)
+		}
+	}
+}
+
+// TestReadGridRejectsTrailingBytes: a grid file holds one grid, so
+// bytes past the payload mean a corrupt artifact.
+func TestReadGridRejectsTrailingBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewGrid(2).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteByte(0)
+	if _, err := ReadGrid(&buf); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
 

@@ -271,7 +271,7 @@ func refinePass(r *core.Refiner, levels int, ds *micrograph.Dataset, ctfs []ctf.
 		}
 		images[i] = im
 	}
-	src := core.SliceSource(images, ctfs, orients)
+	src := core.SliceSource(images, ctfs)
 	return r.RefineStreamLevels(context.Background(), len(images), src, core.InitialResults(orients), 0, levels,
 		core.StreamOptions{RefineWorkers: workers})
 }
